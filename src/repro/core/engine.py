@@ -18,7 +18,6 @@ import asyncio
 import functools
 import threading
 import time
-import warnings
 from collections import OrderedDict, namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -235,51 +234,6 @@ class QueryResult:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"QueryResult({len(self.rows)} rows, {self.projection!r})"
-
-
-def _normalize_many_args(
-    engine_name: str,
-    args: tuple,
-    deadline: Optional[float],
-    concurrency: Optional[int],
-    max_workers: Optional[int],
-) -> tuple[Optional[float], Optional[int]]:
-    """Shared deprecation shim behind every engine's ``execute_many``.
-
-    The normalized signature is ``execute_many(expressions, *,
-    deadline=None, concurrency=None)`` on every engine.  The historical
-    surfaces — positional ``max_workers`` (and, on the sharded engine,
-    positional ``deadline`` behind it) and the ``max_workers=`` keyword
-    — still work but raise :class:`DeprecationWarning`; internal
-    callers and CI run with ``-W error::DeprecationWarning``."""
-    if args:
-        if len(args) > 2:
-            raise TypeError(
-                f"{engine_name}.execute_many() takes at most 3 "
-                f"positional arguments ({2 + len(args)} given)"
-            )
-        warnings.warn(
-            f"positional max_workers/deadline arguments to "
-            f"{engine_name}.execute_many() are deprecated; use "
-            f"execute_many(expressions, deadline=..., concurrency=...)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if max_workers is None:
-            max_workers = args[0]
-        if len(args) > 1 and deadline is None:
-            deadline = args[1]
-    if max_workers is not None:
-        if not args:
-            warnings.warn(
-                f"{engine_name}.execute_many(max_workers=...) is "
-                f"deprecated; use concurrency=...",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        if concurrency is None:
-            concurrency = max_workers
-    return deadline, concurrency
 
 
 class SQLXPathEngine:
@@ -664,10 +618,9 @@ class SQLXPathEngine:
     def execute_many(
         self,
         expressions: Iterable[Union[str, XPathExpr]],
-        *args,
+        *,
         deadline: Optional[float] = None,
         concurrency: Optional[int] = None,
-        max_workers: Optional[int] = None,
     ) -> list[QueryResult]:
         """Run many independent queries, results in input order.
 
@@ -676,17 +629,13 @@ class SQLXPathEngine:
         bounds the fan-out, ``deadline`` is a wall-clock budget for the
         *whole call* — queries started after it expires fail like any
         per-query timeout (fallback-answered when enabled, raised
-        otherwise).  ``max_workers`` (and passing it positionally) is
-        deprecated; it maps onto ``concurrency``.
+        otherwise).
 
         With a pool attached, queries fan out over a
         ``ThreadPoolExecutor`` (at most ``concurrency`` in flight) and
         overlap inside SQLite; without one they run serially on the
         store's connection — same results, no concurrency.
         """
-        deadline, concurrency = _normalize_many_args(
-            type(self).__name__, args, deadline, concurrency, max_workers
-        )
         if concurrency is None:
             concurrency = 4
         expressions = list(expressions)

@@ -1,15 +1,16 @@
-"""Asyncio front door for the sharded worker fleet.
+"""Asyncio front door for the sharded worker fleet — the one home of
+the per-shard degradation ladder.
 
 :class:`AsyncShardedEngine` lets a *single-threaded* event-loop process
 hold thousands of in-flight XPath queries against the
-:class:`~repro.serving.supervisor.ShardRuntime` fleet — where the
-blocking :class:`~repro.serving.scatter.ShardedEngine` spends one OS
-thread per admitted query waiting on the transport, the front door
-spends none: worker completions are bridged straight onto the event
-loop through the supervisor's ``on_complete`` callbacks and resolved
-into futures.
+:class:`~repro.serving.supervisor.ShardRuntime` fleet without a thread
+per query: worker completions are bridged straight onto the event loop
+through the supervisor's ``on_complete`` callbacks and resolved into
+futures.  It serves two kinds of caller: asyncio callers await it on
+their own loop, and the blocking :class:`~repro.serving.scatter.
+ShardedEngine` runs the same coroutines on a private loop thread.
 
-Three mechanisms make up the tentpole:
+Three mechanisms make up the front door:
 
 **Batched admission (tick coalescing).**  Queries submitted in the same
 event-loop iteration — one ``asyncio.gather``, many concurrent client
@@ -18,31 +19,31 @@ tasks, a burst drained from a socket — are coalesced into a single
 queue/marshal overhead is paid per burst instead of per query.  The
 tick flush is scheduled with ``loop.call_soon`` when the first query of
 a burst arrives; there is no background pump task to leak or poll.
+Each shard rotates its batches over its replicas.
 
 **Awaitable backpressure.**  Admission is an ``asyncio.Semaphore`` of
 ``max_inflight`` slots.  With ``admission_timeout`` set, a query that
 cannot get a slot in time fails fast with
-:class:`~repro.errors.AdmissionRejectedError` — the same contract as
-the blocking engine.  With ``admission_timeout=None`` the await simply
-parks until a slot frees: thousands of submitted queries then occupy a
-few pending futures each instead of a thread each, which is what bounds
-memory at high concurrency.
+:class:`~repro.errors.AdmissionRejectedError`.  With
+``admission_timeout=None`` the await simply parks until a slot frees:
+thousands of submitted queries then occupy a few pending futures each
+instead of a thread each, which is what bounds memory at high
+concurrency.
 
-**The degradation ladder, async.**  Hedging, per-shard retries, circuit
-breakers, flagged partials and the native fallback are the *same*
-ladder (and the same breaker/stat objects) as the blocking engine —
-re-expressed over futures: a batched scatter is hedged to a second
-replica after ``hedge_delay`` of silence, a statement its batch could
-not answer falls to a per-shard hedge/retry ladder driven by
-``asyncio.wait``, and a worker crash resolves waiters immediately via
-the supervisor's lost-request callbacks (no polling).  Deadlines travel
-as absolute expiries; ``asyncio.CancelledError`` propagates through
-every rung — a cancelled await releases its admission slot and abandons
-its in-flight requests (hedges included) on the way out.
+**The degradation ladder.**  Hedging, per-shard retries, circuit
+breakers, flagged partials and the native fallback, over the breaker
+and stat objects the wrapped :class:`ShardedEngine` owns: a batched
+scatter is hedged to a second replica after ``hedge_delay`` of silence,
+a statement its batch could not answer falls to a per-shard
+hedge/retry ladder driven by ``asyncio.wait``, and a worker crash
+resolves waiters immediately via the supervisor's lost-request
+callbacks (``on_complete(None)``; no polling).  Deadlines travel as
+absolute expiries; ``asyncio.CancelledError`` propagates through every
+rung — a cancelled await releases its admission slot and abandons its
+in-flight requests (hedges included) on the way out.
 
-Results are bit-identical to the blocking engine (same translation,
-same merge, same completeness flags) — the chaos suite asserts this
-against the single-store oracle under worker kills mid-await.
+The chaos suite asserts results against the single-store oracle under
+worker kills, both mid-await and through the blocking engine.
 """
 
 from __future__ import annotations
@@ -52,10 +53,7 @@ import marshal
 import time
 from typing import AsyncIterator, Optional, Union
 
-from repro.core.engine import (
-    QueryResult,
-    _normalize_many_args,
-)
+from repro.core.engine import QueryResult
 from repro.core.translator import TranslationResult
 from repro.errors import AdmissionRejectedError
 from repro.serving.scatter import ServingConfig, ShardedEngine, ShardOutcome
@@ -93,7 +91,7 @@ class _Tick:
 
 
 class AsyncShardedEngine:
-    """Asyncio counterpart of :class:`~repro.serving.scatter.
+    """The degradation ladder over a :class:`~repro.serving.scatter.
     ShardedEngine`, sharing its planner, breakers, result cache and
     degradation counters.
 
@@ -113,9 +111,9 @@ class AsyncShardedEngine:
         max_inflight = max(1, engine.config.max_inflight)
         self._admission = asyncio.Semaphore(max_inflight)
         self._tick: Optional[_Tick] = None
-        # Primary-replica rotation for batched scatters (loop-thread
-        # only); hedges go to the next replica, like the sync ladder.
-        self._round_robin = 0
+        # Per-shard primary-replica rotation for batched scatters
+        # (loop-thread only); hedges go to the next replica.
+        self._round_robin: dict[int, int] = {}
         self._closed = False
 
     # -- construction ------------------------------------------------------------
@@ -205,11 +203,10 @@ class AsyncShardedEngine:
     ) -> QueryResult:
         """Awaitable scatter-gather with the full degradation ladder.
 
-        Semantics match :meth:`ShardedEngine.execute` — same results,
-        same ``complete``/``failed_shards`` contract, same typed errors
-        — plus: concurrently-submitted queries share batched scatters,
-        and cancelling the await releases the admission slot and
-        abandons the query's in-flight requests.
+        :meth:`ShardedEngine.execute` is this coroutine run on the
+        engine's private loop.  Concurrently-submitted queries share
+        batched scatters, and cancelling the await releases the
+        admission slot and abandons the query's in-flight requests.
 
         :raises AdmissionRejectedError: no slot within
             ``admission_timeout`` (``None`` waits without limit).
@@ -219,29 +216,30 @@ class AsyncShardedEngine:
         await self._admit()
         try:
             self._engine._count("queries")
-            return await self._execute_admitted(expression, deadline)
+            expiry = self._expiry(deadline)
+            translation = self.translate(expression)
+            answered = self._without_scatter(expression, translation)
+            if answered is not None:
+                return answered
+            return await self._run_translation(expression, translation, expiry)
         finally:
             self._admission.release()
 
     async def execute_many(
         self,
         expressions,
-        *args,
+        *,
         deadline: Optional[float] = None,
         concurrency: Optional[int] = None,
-        max_workers: Optional[int] = None,
     ) -> list[QueryResult]:
         """Run many queries, results in input order.
 
-        Like the blocking engine's batch path, the whole call occupies
-        **one** admission slot and every statement lands in the same
-        coalescing tick — one ``submit_batch`` per shard.  ``deadline``
-        budgets the whole call; ``concurrency`` is accepted for surface
-        compatibility (coalescing replaces client-side fan-out).
+        The whole call occupies **one** admission slot and every
+        statement lands in the same coalescing tick — one
+        ``submit_batch`` per shard.  ``deadline`` budgets the whole
+        call; ``concurrency`` is accepted for surface compatibility
+        (coalescing replaces client-side fan-out).
         """
-        deadline, concurrency = _normalize_many_args(
-            type(self).__name__, args, deadline, concurrency, max_workers
-        )
         expressions = list(expressions)
         if len(expressions) <= 1:
             return [
@@ -252,30 +250,16 @@ class AsyncShardedEngine:
         pending: list[tuple[int, object, TranslationResult]] = []
         for index, expression in enumerate(expressions):
             translation = self.translate(expression)
-            if translation.is_empty:
-                results[index] = QueryResult(
-                    [], translation.projection, served_by="shards"
-                )
-                continue
-            key = self._engine._planner._result_key(expression)
-            if key is not None:
-                cached = self._engine._planner._result_cache.get(key)
-                if cached is not None:
-                    results[index] = cached
-                    continue
-            pending.append((index, expression, translation))
+            answered = self._without_scatter(expression, translation)
+            if answered is not None:
+                results[index] = answered
+            else:
+                pending.append((index, expression, translation))
         if pending:
             await self._admit()
             try:
                 self._engine._count("queries", len(pending))
-                budget = (
-                    deadline
-                    if deadline is not None
-                    else self._engine.config.deadline
-                )
-                expiry = (
-                    time.monotonic() + budget if budget is not None else None
-                )
+                expiry = self._expiry(deadline)
                 gathered = await asyncio.gather(
                     *(
                         self._run_translation(expression, translation, expiry)
@@ -321,26 +305,23 @@ class AsyncShardedEngine:
 
     # -- admitted path -----------------------------------------------------------
 
-    async def _execute_admitted(
-        self, expression, deadline: Optional[float]
-    ) -> QueryResult:
-        budget = (
-            deadline
-            if deadline is not None
-            else self._engine.config.deadline
-        )
-        expiry = time.monotonic() + budget if budget is not None else None
-        translation = self.translate(expression)
+    def _expiry(self, deadline: Optional[float]) -> Optional[float]:
+        """Absolute expiry of a ``deadline`` budget in seconds (the
+        config's deadline when ``None``)."""
+        budget = deadline if deadline is not None else self.config.deadline
+        return None if budget is None else time.monotonic() + budget
+
+    def _without_scatter(
+        self, expression, translation: TranslationResult
+    ) -> Optional[QueryResult]:
+        """The answer that needs no shard: an empty translation's, or a
+        result-cache hit (``None`` when the query must scatter)."""
         if translation.is_empty:
-            return QueryResult(
-                [], translation.projection, served_by="shards"
-            )
+            return QueryResult([], translation.projection, served_by="shards")
         key = self._engine._planner._result_key(expression)
-        if key is not None:
-            cached = self._engine._planner._result_cache.get(key)
-            if cached is not None:
-                return cached
-        return await self._run_translation(expression, translation, expiry)
+        if key is None:
+            return None
+        return self._engine._planner._result_cache.get(key)
 
     async def _run_translation(
         self,
@@ -349,10 +330,9 @@ class AsyncShardedEngine:
         expiry: Optional[float],
     ) -> QueryResult:
         """Scatter one translated query (batched, then laddered per
-        shard), merge, cache, degrade — the async twin of
-        :meth:`ShardedEngine._execute_admitted` after admission."""
+        shard), merge, cache, degrade."""
         engine = self._engine
-        hedge = engine._hedge_allowed(translation)
+        hedge = self._hedge_allowed(translation)
         batched_futures = self._enqueue(translation.sql, expiry, hedge)
         outcomes = list(
             await asyncio.gather(
@@ -385,6 +365,17 @@ class AsyncShardedEngine:
         else:
             engine._count("partials")
         return result
+
+    def _hedge_allowed(self, translation: TranslationResult) -> bool:
+        """Costed hedge gate: a query whose estimated result is below
+        ``config.hedge_min_rows`` skips hedged duplicates — statistics
+        never change which rows come back, only the duplicate-request
+        policy.  Estimate-less translations (no statistics collected)
+        hedge as before."""
+        estimated = getattr(translation, "estimated_rows", None)
+        if estimated is None:
+            return True
+        return bool(estimated >= self._engine.config.hedge_min_rows)
 
     async def _shard_outcome(
         self,
@@ -495,8 +486,8 @@ class AsyncShardedEngine:
             "watchdog": None,
             "hedge_pending": False,
         }
-        primary = self._round_robin % runtime.replicas
-        self._round_robin += 1
+        primary = self._round_robin.get(shard, 0) % runtime.replicas
+        self._round_robin[shard] = primary + 1
 
         def finish(response: Optional[dict], box: Optional[list]) -> None:
             # Runs only on the loop thread.  First real response wins; a
@@ -598,8 +589,9 @@ class AsyncShardedEngine:
         expiry: Optional[float],
         hedge: bool = True,
     ) -> ShardOutcome:
-        """Futures-driven twin of :meth:`ShardedEngine._query_shard` —
-        identical rung order, budgets and breaker bookkeeping."""
+        """Run the hedge/retry rungs for one shard.  ``hedge=False``
+        disables hedged duplicates (the costed gate for cheap queries);
+        retries and breakers are unaffected."""
         engine = self._engine
         outcome = ShardOutcome(shard)
         breaker = engine._breakers[shard]
@@ -622,6 +614,9 @@ class AsyncShardedEngine:
                 outcome.kind = "deadline"
                 outcome.error = f"shard {shard}: query deadline exhausted"
                 break
+            # This attempt's slice of the remaining deadline: split it
+            # evenly over the attempts still available, so one slow
+            # attempt cannot starve the retries behind it.
             slice_budget = (
                 remaining / (attempts - attempt)
                 if remaining is not None

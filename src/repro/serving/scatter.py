@@ -29,24 +29,23 @@ No rung ever fabricates rows; a caller always gets correct-complete,
 correct-partial (flagged), or a typed error — the chaos suite asserts
 exactly this against the native oracle.
 
-Backpressure sits in front of the ladder: an admission semaphore caps
-in-flight queries (reject fast with
-:class:`~repro.errors.AdmissionRejectedError` rather than queue without
-bound), and a per-shard :class:`~repro.serving.supervisor.
-CircuitBreaker` fails persistently-broken shards fast instead of
-spending the deadline on them.
+There is one ladder, in :mod:`repro.serving.frontdoor`, with two ways
+in: :meth:`ShardedEngine.execute_async` runs it on the caller's
+event loop, and the blocking :meth:`ShardedEngine.execute` /
+:meth:`~ShardedEngine.execute_many` submit the same coroutines to a
+private event loop thread and wait for the answer.  This module keeps
+what both share: the planner, the per-shard
+:class:`~repro.serving.supervisor.CircuitBreaker` objects, the
+degradation counters, the merge and the native-fallback rung.
 """
 
 from __future__ import annotations
 
 import asyncio
 import itertools
-import marshal
 import operator
 import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.core.adapters import SchemaAwareAdapter
@@ -55,25 +54,14 @@ from repro.core.engine import (
     QueryResult,
     ResultRow,
     SQLXPathEngine,
-    _normalize_many_args,
 )
 from repro.core.translator import PPFTranslator, TranslationResult
-from repro.errors import AdmissionRejectedError, ShardUnavailableError
+from repro.errors import ShardUnavailableError
 from repro.resilience.faults import WorkerFaultPlan
 from repro.resilience.policy import ResiliencePolicy
 from repro.serving.supervisor import CircuitBreaker, ShardRuntime
 from repro.sqlgen.ast import UnionStatement
 from repro.xpath.ast import XPathExpr
-
-#: Granularity of the per-shard wait loop (crash detection latency).
-_WAIT_SLICE = 0.02
-
-#: Backstop granularity of the batch wait loop.  Batch waiters are
-#: woken by the dispatcher on response and by the supervisor on
-#: respawn, so this poll only catches a worker that died *between*
-#: health checks — it can be coarse, which keeps the parent asleep
-#: (and off the CPU) while workers run the batch.
-_BATCH_WAIT_SLICE = 0.25
 
 
 @dataclass(frozen=True)
@@ -98,10 +86,9 @@ class ServingConfig:
     max_inflight: int = 8
     #: Seconds :meth:`ShardedEngine.execute` waits for an admission slot
     #: before raising :class:`AdmissionRejectedError`.  ``None`` waits
-    #: without limit — on the async front door this is the *awaitable
-    #: backpressure* mode: submitted queries park on the admission
-    #: semaphore (a pending future each, not a thread each) until a
-    #: slot frees.
+    #: without limit — the *awaitable backpressure* mode: submitted
+    #: queries park on the admission semaphore (a pending future each,
+    #: not a thread each) until a slot frees.
     admission_timeout: Optional[float] = 0.5
     #: Consecutive per-shard failures that trip the shard's breaker.
     breaker_threshold: int = 3
@@ -134,13 +121,31 @@ class ShardOutcome:
         return self.rows is not None
 
 
+def _serve_loop(loop: asyncio.AbstractEventLoop) -> None:
+    """Body of the private loop thread behind the blocking entry
+    points.  Runs until :meth:`ShardedEngine.close` stops the loop, then
+    cancels whatever is still in flight and releases the loop's default
+    executor (the native-fallback rung runs there)."""
+    asyncio.set_event_loop(loop)
+    loop.run_forever()
+    leftovers = asyncio.all_tasks(loop)
+    for task in leftovers:
+        task.cancel()
+    loop.run_until_complete(
+        asyncio.gather(*leftovers, return_exceptions=True)
+    )
+    loop.run_until_complete(loop.shutdown_default_executor())
+    loop.close()
+
+
 class ShardedEngine:
     """Scatter-gather XPath execution over a :class:`~repro.serving.
     shards.ShardedStore` served by a :class:`ShardRuntime` worker fleet.
 
     Construct directly from an already-running runtime, or use
-    :meth:`serve` to spawn (and own) one.  Thread-safe; admission
-    control is the concurrency limiter.
+    :meth:`serve` to spawn (and own) one.  Thread-safe: blocking calls
+    from any number of threads share one private event loop, where the
+    async front door's admission control limits concurrency.
     """
 
     def __init__(
@@ -170,7 +175,6 @@ class ShardedEngine:
             result_cache_size=self.config.result_cache_size,
             verify_plans=verify_plans,
         )
-        self._admission = threading.BoundedSemaphore(self.config.max_inflight)
         self._breakers = {
             shard: CircuitBreaker(
                 failure_threshold=self.config.breaker_threshold,
@@ -178,18 +182,16 @@ class ShardedEngine:
             )
             for shard in range(store.shard_count)
         }
-        # One long-lived scatter pool instead of a ThreadPoolExecutor
-        # per query: sized so every admitted query can fan out over all
-        # shards at once without thread-spawn latency on the hot path.
-        self._scatter = ThreadPoolExecutor(
-            max_workers=max(1, self.config.max_inflight)
-            * store.shard_count,
-            thread_name_prefix="scatter",
-        )
         self._stats_lock = threading.Lock()
         # Lazily-built async front doors, one per event loop (keyed by
         # id(loop), identity-checked: a dead loop's slot is reclaimed).
         self._frontdoors: dict[int, object] = {}
+        # The private loop the blocking entry points run on: started by
+        # the first blocking call, stopped and joined by close().
+        self._loop_lock = threading.Lock()
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._loop_thread: Optional[threading.Thread] = None
+        self._closed = False
         #: Cleanup hooks run by :meth:`close` — :func:`repro.connect`
         #: registers the store it opened here.
         self._on_close: list = []
@@ -244,11 +246,17 @@ class ShardedEngine:
         )
 
     def close(self) -> None:
-        """Shut down the scatter pool, the worker fleet when this
-        engine owns it, and anything :func:`repro.connect` opened on
-        the caller's behalf."""
+        """Stop the private event loop (cancelling any blocking call
+        still in flight), the worker fleet when this engine owns it, and
+        anything :func:`repro.connect` opened on the caller's behalf."""
+        with self._loop_lock:
+            self._closed = True
+            loop, thread = self._loop, self._loop_thread
+            self._loop = self._loop_thread = None
+        if loop is not None and thread is not None:
+            loop.call_soon_threadsafe(loop.stop)
+            thread.join()
         self._frontdoors.clear()
-        self._scatter.shutdown(wait=False)
         if self._own_runtime:
             self.runtime.close()
         hooks, self._on_close = list(self._on_close), []
@@ -307,26 +315,16 @@ class ShardedEngine:
         :raises ShardUnavailableError: every shard failed and the
             native fallback was disabled or declined.
         """
-        if not self._admission.acquire(timeout=self.config.admission_timeout):
-            self._count("rejections")
-            raise AdmissionRejectedError(
-                f"admission queue full: {self.config.max_inflight} queries "
-                f"in flight and none finished within "
-                f"{self.config.admission_timeout:g}s"
-            )
-        try:
-            self._count("queries")
-            return self._execute_admitted(expression, deadline)
-        finally:
-            self._admission.release()
+        return self._block_on(
+            self.execute_async, expression, deadline=deadline
+        )
 
     def execute_many(
         self,
         expressions,
-        *args,
+        *,
         deadline: Optional[float] = None,
         concurrency: Optional[int] = None,
-        max_workers: Optional[int] = None,
     ) -> list[QueryResult]:
         """Run many queries, results in input order.
 
@@ -337,57 +335,48 @@ class ShardedEngine:
         The statements are *pipelined*: each shard worker receives one
         batch request carrying every statement, so queue and pickle
         overhead is paid per shard instead of per query.  Any statement
-        a shard's batch could not answer is re-run through the normal
-        per-shard hedge/retry ladder, so per-query degradation
-        semantics (partial results, fallback, typed errors) are
-        unchanged.  The batch occupies one admission slot.
-        ``concurrency`` (and the deprecated ``max_workers`` /
-        positional form) is accepted for surface compatibility —
-        pipelining replaced the client-side thread fan-out."""
-        deadline, _ = _normalize_many_args(
-            type(self).__name__, args, deadline, concurrency, max_workers
+        a shard's batch could not answer falls to the per-shard
+        hedge/retry ladder, so per-query degradation semantics (partial
+        results, fallback, typed errors) are unchanged.  The batch
+        occupies one admission slot.  ``concurrency`` is accepted for
+        surface compatibility — pipelining replaced client-side
+        fan-out."""
+        return self._block_on(
+            self._execute_many_async, list(expressions), deadline
         )
-        expressions = list(expressions)
-        if len(expressions) <= 1:
-            return [
-                self.execute(expression, deadline=deadline)
-                for expression in expressions
-            ]
-        results: dict[int, QueryResult] = {}
-        pending: list[tuple[int, TranslationResult]] = []
-        keys: dict[int, object] = {}
-        for index, expression in enumerate(expressions):
-            translation = self.translate(expression)
-            if translation.is_empty:
-                results[index] = QueryResult(
-                    [], translation.projection, served_by="shards"
+
+    async def _execute_many_async(
+        self, expressions: list, deadline: Optional[float]
+    ) -> list[QueryResult]:
+        return await self.frontdoor().execute_many(
+            expressions, deadline=deadline
+        )
+
+    def _block_on(self, coroutine_function, *args, **kwargs):
+        """Run ``coroutine_function(*args, **kwargs)`` on the private
+        loop (starting it on first use) and wait for its result.  An
+        interrupted caller cancels the query: the front door releases
+        its admission slot and abandons its in-flight requests."""
+        with self._loop_lock:
+            if self._closed:
+                raise RuntimeError("ShardedEngine is closed")
+            if self._loop is None:
+                self._loop = asyncio.new_event_loop()
+                self._loop_thread = threading.Thread(
+                    target=_serve_loop,
+                    args=(self._loop,),
+                    name="scatter-loop",
+                    daemon=True,
                 )
-                continue
-            key = self._planner._result_key(expression)
-            if key is not None:
-                cached = self._planner._result_cache.get(key)
-                if cached is not None:
-                    results[index] = cached
-                    continue
-            keys[index] = key
-            pending.append((index, translation))
-        if pending:
-            if not self._admission.acquire(
-                timeout=self.config.admission_timeout
-            ):
-                self._count("rejections")
-                raise AdmissionRejectedError(
-                    f"admission queue full: {self.config.max_inflight} "
-                    f"queries in flight and none finished within "
-                    f"{self.config.admission_timeout:g}s"
-                )
-            try:
-                for _ in pending:
-                    self._count("queries")
-                self._execute_batch(pending, keys, results, deadline)
-            finally:
-                self._admission.release()
-        return [results[index] for index in range(len(expressions))]
+                self._loop_thread.start()
+            loop = self._loop
+        future = asyncio.run_coroutine_threadsafe(
+            coroutine_function(*args, **kwargs), loop
+        )
+        try:
+            return future.result()
+        finally:
+            future.cancel()  # no-op once done
 
     def frontdoor(self) -> "object":
         """The calling event loop's :class:`~repro.serving.frontdoor.
@@ -416,311 +405,6 @@ class ShardedEngine:
         thread.  See :class:`~repro.serving.frontdoor.
         AsyncShardedEngine`."""
         return await self.frontdoor().execute(expression, deadline=deadline)
-
-    def _execute_batch(
-        self,
-        pending: list,
-        keys: dict,
-        results: dict,
-        deadline: Optional[float],
-    ) -> None:
-        """Scatter one pipelined batch per shard, ladder the misses,
-        merge per query into ``results`` (keyed by input position)."""
-        budget = deadline if deadline is not None else self.config.deadline
-        expiry = time.monotonic() + budget if budget is not None else None
-        sqls = [translation.sql for _, translation in pending]
-        shard_count = self.store.shard_count
-        per_shard = dict(
-            zip(
-                range(shard_count),
-                self._scatter.map(
-                    lambda shard: self._batch_shard(shard, sqls, expiry),
-                    range(shard_count),
-                ),
-            )
-        )
-        for position, (index, translation) in enumerate(pending):
-            outcomes = []
-            for shard in range(shard_count):
-                batched = per_shard[shard]
-                outcome = (
-                    batched[position] if batched is not None else None
-                )
-                if outcome is None or not outcome.ok:
-                    # This statement missed its batch (worker failure,
-                    # breaker, per-item error): the per-shard ladder
-                    # takes over with the remaining deadline.
-                    outcome = self._query_shard(
-                        shard,
-                        translation.sql,
-                        expiry,
-                        hedge=self._hedge_allowed(translation),
-                    )
-                outcomes.append(outcome)
-            failures = [o for o in outcomes if not o.ok]
-            if len(failures) == shard_count:
-                results[index] = self._all_shards_failed(
-                    translation.expression, translation.projection, failures
-                )
-                continue
-            result = self._merge(translation, outcomes)
-            if result.complete:
-                self._planner._cache_result(keys.get(index), result)
-            else:
-                self._count("partials")
-            results[index] = result
-
-    def _batch_shard(
-        self, shard: int, sqls: list[str], expiry: Optional[float]
-    ) -> Optional[list[ShardOutcome]]:
-        """One pipelined batch round-trip to ``shard``.
-
-        Returns per-statement outcomes (failed items carry their error
-        and fall to the ladder), or ``None`` when the whole batch needs
-        the ladder (open breaker, crashed worker, deadline)."""
-        breaker = self._breakers[shard]
-        if not breaker.allow():
-            return None
-        remaining = (
-            expiry - time.monotonic() if expiry is not None else None
-        )
-        if remaining is not None and remaining <= 0:
-            return None
-        event = threading.Event()
-        try:
-            request_id = self.runtime.submit_batch(
-                shard,
-                sqls,
-                timeout=remaining,
-                max_rows=self.config.max_rows,
-                event=event,
-            )
-        except Exception:
-            breaker.record_failure()
-            return None
-        try:
-            while True:
-                wait = _BATCH_WAIT_SLICE
-                if expiry is not None:
-                    left = expiry - time.monotonic()
-                    if left <= 0:
-                        return None
-                    wait = min(wait, left)
-                _, response = self.runtime.wait_any(
-                    [request_id], event, wait
-                )
-                if response is not None:
-                    break
-                if self.runtime.request_lost(request_id):
-                    breaker.record_failure()
-                    return None
-        finally:
-            self.runtime.abandon(request_id)
-        if not response.get("ok"):
-            breaker.record_failure()
-            return None
-        breaker.record_success()
-        outcomes = []
-        for item in marshal.loads(response["items"]):
-            outcome = ShardOutcome(shard, attempts=1)
-            if item.get("ok"):
-                outcome.rows = item["rows"]
-            else:
-                outcome.kind = item.get("error_kind", "internal")
-                outcome.error = item.get("error")
-            outcomes.append(outcome)
-        return outcomes
-
-    def _execute_admitted(
-        self, expression, deadline: Optional[float]
-    ) -> QueryResult:
-        translation = self.translate(expression)
-        if translation.is_empty:
-            return QueryResult([], translation.projection, served_by="shards")
-        key = self._planner._result_key(expression)
-        if key is not None:
-            cached = self._planner._result_cache.get(key)
-            if cached is not None:
-                return cached
-        budget = deadline if deadline is not None else self.config.deadline
-        expiry = time.monotonic() + budget if budget is not None else None
-        shard_count = self.store.shard_count
-        hedge = self._hedge_allowed(translation)
-        outcomes = list(
-            self._scatter.map(
-                lambda shard: self._query_shard(
-                    shard, translation.sql, expiry, hedge=hedge
-                ),
-                range(shard_count),
-            )
-        )
-        failures = [outcome for outcome in outcomes if not outcome.ok]
-        if len(failures) == shard_count:
-            return self._all_shards_failed(
-                expression, translation.projection, failures
-            )
-        result = self._merge(translation, outcomes)
-        if result.complete:
-            self._planner._cache_result(key, result)
-        else:
-            self._count("partials")
-        return result
-
-    def _hedge_allowed(self, translation: object) -> bool:
-        """Costed hedge gate: a query whose estimated result is below
-        ``config.hedge_min_rows`` skips hedged duplicates — statistics
-        never change which rows come back, only the duplicate-request
-        policy.  Estimate-less translations (no statistics collected)
-        hedge as before."""
-        estimated = getattr(translation, "estimated_rows", None)
-        if estimated is None:
-            return True
-        return bool(estimated >= self.config.hedge_min_rows)
-
-    # -- the per-shard ladder ----------------------------------------------------
-
-    def _query_shard(
-        self,
-        shard: int,
-        sql: str,
-        expiry: Optional[float],
-        hedge: bool = True,
-    ) -> ShardOutcome:
-        """Run the hedge/retry rungs for one shard.  ``hedge=False``
-        disables hedged duplicates (the costed gate for cheap queries);
-        retries and breakers are unaffected."""
-        outcome = ShardOutcome(shard)
-        breaker = self._breakers[shard]
-        if not breaker.allow():
-            self._count("breaker_short_circuits")
-            outcome.kind = "breaker-open"
-            outcome.error = (
-                f"shard {shard} circuit breaker is {breaker.state}"
-            )
-            return outcome
-        attempts = max(1, self.config.shard_retries + 1)
-        for attempt in range(attempts):
-            if attempt:
-                self._count("retries")
-            outcome.attempts = attempt + 1
-            remaining = (
-                expiry - time.monotonic() if expiry is not None else None
-            )
-            if remaining is not None and remaining <= 0:
-                outcome.kind = "deadline"
-                outcome.error = f"shard {shard}: query deadline exhausted"
-                break
-            # This attempt's slice of the remaining deadline: split it
-            # evenly over the attempts still available, so one slow
-            # attempt cannot starve the retries behind it.
-            slice_budget = (
-                remaining / (attempts - attempt)
-                if remaining is not None
-                else None
-            )
-            primary = attempt % self.runtime.replicas
-            response, kind = self._attempt(
-                shard, sql, primary, slice_budget, outcome, hedge=hedge
-            )
-            if response is not None and response.get("ok"):
-                breaker.record_success()
-                outcome.rows = response["rows"]
-                outcome.kind = None
-                outcome.error = None
-                return outcome
-            breaker.record_failure()
-            if response is not None:
-                outcome.kind = response.get("error_kind", "internal")
-                outcome.error = response.get("error")
-            else:
-                outcome.kind = kind
-                outcome.error = (
-                    f"shard {shard}: worker crashed mid-request"
-                    if kind == "worker-crashed"
-                    else f"shard {shard}: no response within budget"
-                )
-        return outcome
-
-    def _attempt(
-        self,
-        shard: int,
-        sql: str,
-        primary: int,
-        budget: Optional[float],
-        outcome: ShardOutcome,
-        hedge: bool = True,
-    ) -> tuple[Optional[dict], str]:
-        """One attempt: submit to ``primary``, hedge to the next replica
-        after ``hedge_delay`` of silence, first response wins.
-
-        Returns ``(response, kind)`` — response ``None`` means nothing
-        arrived, with ``kind`` saying why (``"deadline"`` or
-        ``"worker-crashed"``).
-        """
-        event = threading.Event()
-        start = time.monotonic()
-        sent: list[int] = []
-
-        def submit(replica: int) -> None:
-            left = (
-                budget - (time.monotonic() - start)
-                if budget is not None
-                else None
-            )
-            sent.append(
-                self.runtime.submit(
-                    shard,
-                    sql,
-                    replica=replica,
-                    timeout=left,
-                    max_rows=self.config.max_rows,
-                    event=event,
-                )
-            )
-
-        hedge_at = (
-            self.config.hedge_delay
-            if hedge
-            and self.config.hedge_delay is not None
-            and self.runtime.replicas > 1
-            else None
-        )
-        try:
-            submit(primary)
-        except Exception:
-            return None, "worker-crashed"
-        try:
-            while True:
-                elapsed = time.monotonic() - start
-                if budget is not None and elapsed >= budget:
-                    return None, "deadline"
-                wait = _WAIT_SLICE
-                if budget is not None:
-                    wait = min(wait, budget - elapsed)
-                if hedge_at is not None:
-                    wait = min(wait, max(hedge_at - elapsed, 0.001))
-                request_id, response = self.runtime.wait_any(
-                    sent, event, wait
-                )
-                if response is not None:
-                    return response, "answered"
-                if all(self.runtime.request_lost(rid) for rid in sent):
-                    # Every incarnation we asked is dead or fenced off;
-                    # no answer can ever arrive — fail over now.
-                    return None, "worker-crashed"
-                if hedge_at is not None and elapsed >= hedge_at:
-                    hedge_at = None
-                    outcome.hedged = True
-                    self._count("hedges")
-                    try:
-                        submit(
-                            (primary + 1) % self.runtime.replicas
-                        )
-                    except Exception:  # noqa: S110 - hedge is optional
-                        pass
-        finally:
-            for request_id in sent:
-                self.runtime.abandon(request_id)
 
     # -- merging and degradation -------------------------------------------------
 

@@ -188,8 +188,13 @@ class ShardedStore:
             )
         store = cls(directory, schema, shards, [], 0, policy=policy)
         for index in range(shards):
+            # Thread-shareable, as in shard_store().
             shard = ShreddedStore.create(
-                Database.open(store.shard_path(index), policy=policy),
+                Database.open(
+                    store.shard_path(index),
+                    policy=policy,
+                    check_same_thread=False,
+                ),
                 schema,
             )
             store._shards[index] = shard
@@ -257,8 +262,16 @@ class ShardedStore:
         self._check_shard_index(index)
         shard = self._shards.get(index)
         if shard is None:
+            # Shared across threads: translation opens this handle on
+            # whichever thread runs first (an event loop, an executor)
+            # and close() may run on another; the stdlib sqlite3 build
+            # is SERIALIZED (threadsafety == 3).
             shard = ShreddedStore.open(
-                Database.open(self.shard_path(index), policy=self.policy)
+                Database.open(
+                    self.shard_path(index),
+                    policy=self.policy,
+                    check_same_thread=False,
+                )
             )
             self._shards[index] = shard
         return shard

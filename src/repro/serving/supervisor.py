@@ -30,13 +30,14 @@ Workers are deliberately dumb: they receive already-translated SQL
 `Paths` by string, never by shard-local ids), run it under the
 resilience guards, and ship raw rows back.  All policy — deadlines,
 hedging, retries, degradation — stays in the parent
-(:mod:`repro.serving.scatter`).
+(:mod:`repro.serving.frontdoor`).
 """
 
 from __future__ import annotations
 
 import marshal
 import multiprocessing
+import multiprocessing.connection
 import os
 import queue as queue_mod
 import threading
@@ -370,11 +371,12 @@ class _Pending:
     )
 
     def __init__(
-        self, event: threading.Event, shard: int, replica: int,
-        expected_gen: int,
+        self, shard: int, replica: int, expected_gen: int,
         callback: "Optional[Callable[[Optional[dict]], None]]" = None,
     ):
-        self.event = event
+        #: Set on response or loss; what :meth:`ShardRuntime.wait`
+        #: blocks on.
+        self.event = threading.Event()
         self.shard = shard
         self.replica = replica
         self.expected_gen = expected_gen
@@ -394,12 +396,13 @@ class ShardRuntime:
     duplicate requests have somewhere to go).  A supervisor thread
     respawns dead workers and terminates hung ones; a dispatcher thread
     routes responses — dropping any whose worker generation is stale —
-    to the threads waiting on them.
+    to each request's ``on_complete`` callback.
 
-    The runtime is transport only: :meth:`submit` / :meth:`wait` /
-    :meth:`wait_any` move SQL out and raw rows back.  Deadlines,
-    hedging, retries and degradation live in
-    :class:`~repro.serving.scatter.ShardedEngine`.
+    The runtime is transport only: :meth:`submit` /
+    :meth:`submit_batch` move SQL out and raw rows back, reporting each
+    response — or the loss of a request whose worker died — through
+    ``on_complete``.  Deadlines, hedging, retries and degradation live
+    in :class:`~repro.serving.frontdoor.AsyncShardedEngine`.
     """
 
     def __init__(
@@ -458,6 +461,8 @@ class ShardRuntime:
             target=self._dispatch_loop, daemon=True, name="shard-dispatch"
         )
         self._dispatcher.start()
+        # close() writes here to wake the supervisor out of its wait.
+        self._wake_reader, self._wake_writer = os.pipe()
         self._supervisor = threading.Thread(
             target=self._supervise_loop, daemon=True, name="shard-supervise"
         )
@@ -470,7 +475,10 @@ class ShardRuntime:
             self._stop.set()
             return
         self._stop.set()
+        os.write(self._wake_writer, b"\0")
         self._supervisor.join(timeout=2.0)
+        os.close(self._wake_reader)
+        os.close(self._wake_writer)
         with self._lock:
             handles = list(self._workers.values())
         for handle in handles:
@@ -485,19 +493,10 @@ class ShardRuntime:
                 handle.process.terminate()
                 handle.process.join(timeout=1.0)
         self._dispatcher.join(timeout=2.0)
-        lost_callbacks = []
+        self._report_lost(lambda pending: True)
         with self._lock:
-            for pending in self._pending.values():
-                pending.event.set()
-                if pending.callback is not None and pending.response is None:
-                    lost_callbacks.append(pending.callback)
             self._pending.clear()
             self._workers.clear()
-        for callback in lost_callbacks:
-            try:
-                callback(None)
-            except Exception:  # pragma: no cover - defensive
-                pass
 
     def __enter__(self) -> "ShardRuntime":
         return self.start()
@@ -551,7 +550,24 @@ class ShardRuntime:
         return handle
 
     def _supervise_loop(self) -> None:
-        while not self._stop.wait(self.health_interval):
+        while not self._stop.is_set():
+            # Sleep one health interval, but wake as soon as a worker
+            # exits (its process sentinel turns ready).  Workers younger
+            # than one interval are left to the timed sweep, so a worker
+            # that dies at start-up is respawned at most once per
+            # interval.
+            now = time.time()
+            with self._lock:
+                sentinels = [
+                    handle.process.sentinel
+                    for handle in self._workers.values()
+                    if now - handle.started_at >= self.health_interval
+                ]
+            multiprocessing.connection.wait(
+                [*sentinels, self._wake_reader], timeout=self.health_interval
+            )
+            if self._stop.is_set():
+                return
             for key in list(self._workers):
                 with self._lock:
                     handle = self._workers.get(key)
@@ -576,26 +592,34 @@ class ShardRuntime:
             generation=handle.generation + 1,
             reason=reason,
         )
-        # Wake waiters bound to the dead incarnation: their
-        # ``request_lost`` check sees the generation bump and fails
-        # over immediately instead of discovering it by polling.
-        lost_callbacks = []
+        # Requests bound to the dead incarnation can never be answered:
+        # report them lost now so their ladders fail over instead of
+        # waiting out their deadline.
+        self._report_lost(
+            lambda pending: pending.shard == handle.shard
+            and pending.replica == handle.replica
+            and pending.expected_gen <= handle.generation
+        )
+
+    def _report_lost(self, is_lost: Callable[[_Pending], bool]) -> None:
+        """Drop the unanswered requests ``is_lost`` selects, wake their
+        :meth:`wait`, and fire each one's ``on_complete(None)`` exactly
+        once (outside the lock: a callback is caller code)."""
         with self._lock:
-            for pending in self._pending.values():
-                if (
-                    pending.shard == handle.shard
-                    and pending.replica == handle.replica
-                    and pending.expected_gen <= handle.generation
-                    and pending.response is None
-                ):
-                    pending.event.set()
-                    if pending.callback is not None:
-                        lost_callbacks.append(pending.callback)
-        for callback in lost_callbacks:
-            try:
-                callback(None)
-            except Exception:  # pragma: no cover - defensive
-                pass
+            lost = [
+                (request_id, pending)
+                for request_id, pending in self._pending.items()
+                if pending.response is None and is_lost(pending)
+            ]
+            for request_id, pending in lost:
+                del self._pending[request_id]
+                pending.event.set()
+        for _, pending in lost:
+            if pending.callback is not None:
+                try:
+                    pending.callback(None)
+                except Exception:  # pragma: no cover - defensive
+                    pass
 
     def worker(self, shard: int, replica: int) -> WorkerHandle:
         """The current incarnation serving ``(shard, replica)``."""
@@ -654,49 +678,20 @@ class ShardRuntime:
         replica: int | None = None,
         timeout: float | None = None,
         max_rows: int | None = None,
-        event: threading.Event | None = None,
         on_complete: Callable[[Optional[dict]], None] | None = None,
     ) -> int:
         """Send one SQL request to a worker of ``shard``; returns the
-        request id to :meth:`wait` on.  ``replica`` pins a specific
-        worker (hedges do); by default replicas rotate round-robin.
-        ``event`` lets several requests share a wake-up event for
-        first-response-wins waits.  ``on_complete`` is fired once from a
-        runtime thread with the response dict — or ``None`` when the
-        request became unanswerable — letting event-loop callers bridge
-        completions to futures without a waiting thread per request."""
-        if replica is None:
-            with self._lock:
-                replica = self._rr.get(shard, 0) % self.replicas
-                self._rr[shard] = replica + 1
-        handle = self.worker(shard, replica)
-        with self._lock:
-            request_id = self._next_request_id
-            self._next_request_id += 1
-            self._pending[request_id] = _Pending(
-                event if event is not None else threading.Event(),
-                shard,
-                replica,
-                handle.generation,
-                callback=on_complete,
-            )
+        request id (to :meth:`wait` on or :meth:`abandon`).  ``replica``
+        pins a specific worker (hedges do); by default replicas rotate
+        round-robin.  ``on_complete`` is fired once from a runtime
+        thread with the response dict — or ``None`` when the request
+        became unanswerable (its worker died or the runtime closed) —
+        letting event-loop callers bridge completions to futures without
+        a waiting thread per request."""
         message = {
-            "op": "query",
-            "id": request_id,
-            "sql": sql,
-            "timeout": timeout,
-            "max_rows": max_rows,
+            "op": "query", "sql": sql, "timeout": timeout, "max_rows": max_rows,
         }
-        try:
-            handle.requests.put_nowait(message)
-        except Exception as exc:
-            self.abandon(request_id)
-            raise ShardError(
-                f"could not enqueue request to shard {shard} replica "
-                f"{replica}: {exc}",
-                shard=shard,
-            ) from exc
-        return request_id
+        return self._send(shard, replica, message, on_complete)
 
     def submit_batch(
         self,
@@ -706,7 +701,6 @@ class ShardRuntime:
         replica: int | None = None,
         timeout: float | None = None,
         max_rows: int | None = None,
-        event: threading.Event | None = None,
         on_complete: Callable[[Optional[dict]], None] | None = None,
     ) -> int:
         """Send a pipelined batch of statements to one worker in a
@@ -715,6 +709,34 @@ class ShardRuntime:
         error); queue and pickle overhead is paid once per batch
         instead of once per statement.  ``on_complete`` follows the
         :meth:`submit` contract."""
+        message = {
+            "op": "batch",
+            "sqls": list(sqls),
+            "timeout": timeout,
+            "max_rows": max_rows,
+        }
+        return self._send(shard, replica, message, on_complete)
+
+    def ping(self, shard: int, replica: int, timeout: float = 1.0) -> bool:
+        """Round-trip health probe of one worker (``False`` when it
+        cannot be reached)."""
+        try:
+            request_id = self._send(shard, replica, {"op": "ping"}, None)
+        except ShardError:
+            return False
+        response = self.wait(request_id, timeout)
+        return bool(response and response.get("ok"))
+
+    def _send(
+        self,
+        shard: int,
+        replica: int | None,
+        message: dict,
+        on_complete: Callable[[Optional[dict]], None] | None,
+    ) -> int:
+        """Register ``message`` as pending against the current
+        incarnation of ``(shard, replica)`` (round-robin when
+        ``replica`` is ``None``), stamp its request id and enqueue it."""
         if replica is None:
             with self._lock:
                 replica = self._rr.get(shard, 0) % self.replicas
@@ -724,46 +746,19 @@ class ShardRuntime:
             request_id = self._next_request_id
             self._next_request_id += 1
             self._pending[request_id] = _Pending(
-                event if event is not None else threading.Event(),
-                shard,
-                replica,
-                handle.generation,
-                callback=on_complete,
+                shard, replica, handle.generation, callback=on_complete
             )
-        message = {
-            "op": "batch",
-            "id": request_id,
-            "sqls": list(sqls),
-            "timeout": timeout,
-            "max_rows": max_rows,
-        }
+        message["id"] = request_id
         try:
             handle.requests.put_nowait(message)
         except Exception as exc:
             self.abandon(request_id)
             raise ShardError(
-                f"could not enqueue batch to shard {shard} replica "
-                f"{replica}: {exc}",
+                f"could not enqueue {message['op']} to shard {shard} "
+                f"replica {replica}: {exc}",
                 shard=shard,
             ) from exc
         return request_id
-
-    def ping(self, shard: int, replica: int, timeout: float = 1.0) -> bool:
-        """Round-trip health probe of one worker."""
-        handle = self.worker(shard, replica)
-        with self._lock:
-            request_id = self._next_request_id
-            self._next_request_id += 1
-            self._pending[request_id] = _Pending(
-                threading.Event(), shard, replica, handle.generation
-            )
-        try:
-            handle.requests.put_nowait({"op": "ping", "id": request_id})
-        except Exception:
-            self.abandon(request_id)
-            return False
-        response = self.wait(request_id, timeout)
-        return bool(response and response.get("ok"))
 
     def wait(self, request_id: int, timeout: float) -> Optional[dict]:
         """Block for the response to ``request_id``; ``None`` when it
@@ -777,49 +772,9 @@ class ShardRuntime:
             pending = self._pending.pop(request_id, None)
         return pending.response if pending is not None else None
 
-    def wait_any(
-        self, request_ids: list[int], event: threading.Event, timeout: float
-    ) -> tuple[Optional[int], Optional[dict]]:
-        """First-response-wins wait over requests sharing ``event``.
-
-        Returns ``(request_id, response)`` of the first arrival, or
-        ``(None, None)`` on timeout.  The *other* requests stay pending;
-        abandon them (or keep waiting) as the caller sees fit.
-        """
-        deadline = time.monotonic() + timeout
-        while True:
-            with self._lock:
-                for request_id in request_ids:
-                    pending = self._pending.get(request_id)
-                    if pending is not None and pending.response is not None:
-                        self._pending.pop(request_id, None)
-                        return request_id, pending.response
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return None, None
-            event.wait(remaining)
-            event.clear()
-
     def abandon(self, request_id: int) -> None:
         """Forget an in-flight request (lost hedge, expired deadline);
         its eventual response — if any — is dropped by the
         dispatcher."""
         with self._lock:
             self._pending.pop(request_id, None)
-
-    def request_lost(self, request_id: int) -> bool:
-        """``True`` when ``request_id`` can no longer be answered: the
-        worker incarnation it was sent to crashed or was respawned
-        (generation fence) before responding.  Lets callers fail over
-        immediately instead of waiting out their deadline budget."""
-        with self._lock:
-            pending = self._pending.get(request_id)
-            if pending is None or pending.response is not None:
-                return False
-            handle = self._workers.get((pending.shard, pending.replica))
-        if handle is None:
-            return True
-        return (
-            handle.generation != pending.expected_gen
-            or not handle.process.is_alive()
-        )

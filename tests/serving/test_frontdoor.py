@@ -383,41 +383,6 @@ class TestDeadline:
             engine.close()
 
 
-class TestDeprecationShims:
-    def test_async_execute_many_positional_max_workers_warns(self, corpus):
-        _, sharded = corpus
-        engine = serve(sharded)
-        try:
-
-            async def go():
-                front = AsyncShardedEngine(engine)
-                with pytest.warns(DeprecationWarning):
-                    return await front.execute_many(QUERIES, 3)
-
-            results = run(go())
-            assert len(results) == len(QUERIES)
-        finally:
-            engine.close()
-
-    def test_sync_execute_many_max_workers_kwarg_warns(self, corpus):
-        _, sharded = corpus
-        engine = serve(sharded)
-        try:
-            with pytest.warns(DeprecationWarning):
-                results = engine.execute_many(QUERIES, max_workers=3)
-            assert len(results) == len(QUERIES)
-        finally:
-            engine.close()
-
-    def test_ppf_execute_many_positional_warns_and_matches(self, corpus):
-        single, _ = corpus
-        engine = PPFEngine(single)
-        with pytest.warns(DeprecationWarning):
-            old = engine.execute_many(QUERIES, 2)
-        new = engine.execute_many(QUERIES, concurrency=2)
-        assert [r.ids for r in old] == [r.ids for r in new]
-
-
 class TestSingleStoreAsync:
     def test_ppf_execute_async_matches_sync(self, tmp_path):
         # execute_async runs on an executor thread, so the connection

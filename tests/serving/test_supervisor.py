@@ -3,6 +3,7 @@ respawns, generation fencing, and the circuit-breaker state machine."""
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -181,21 +182,26 @@ class TestGenerationFencing:
             health_interval=0.1,
             fault_plan=plan,
         ).start()
+        lost = threading.Event()
+        outcomes = []
+
+        def on_complete(response):
+            outcomes.append(response)
+            lost.set()
+
         try:
-            request = runtime.submit(0, COUNT_SQL)
-            # The kill fires on receipt: the pending request can never
-            # be answered, and request_lost detects it well before any
-            # deadline — first via process death, then via the fence
-            # once the supervisor respawns generation 1.
-            assert wait_for(
-                lambda: runtime.request_lost(request), timeout=5.0
-            )
-            assert wait_for(
-                lambda: runtime.respawn_count() >= 1, timeout=5.0
-            )
-            assert runtime.request_lost(request)  # fenced now too
+            started = time.monotonic()
+            runtime.submit(0, COUNT_SQL, on_complete=on_complete)
+            # The kill fires on receipt: the request can never be
+            # answered, and the respawn reports it lost through its
+            # callback — promptly, not after some deadline.
+            assert lost.wait(timeout=5.0)
+            assert time.monotonic() - started < 2.0
+            assert runtime.respawn_count() >= 1
+            assert outcomes == [None]
         finally:
             runtime.close()
+        assert outcomes == [None]  # reported exactly once
         store.close()
 
     def test_fresh_request_after_respawn_is_served(self, tmp_path):
